@@ -265,6 +265,35 @@ def _serving_setup(shards: int):
     return setup
 
 
+def _setup_serve_chronicle(quick: bool):
+    """The standard rules under CHRONICLE on 1 shard, at one stream length.
+
+    The ``churn`` rule's initiator backlog grows to about a third of the
+    stream, so this measures whether a terminator's pick is independent
+    of the backlog.  Quick mode keeps the full stream (only the round
+    count drops): per-event cost is what is gated, and it would read
+    differently at another n if selection regressed to a rescan.
+    """
+    from repro.contexts.policies import Context
+    from repro.serve import serve_events
+    from repro.sim.serving import ServingWorkload
+
+    workload = ServingWorkload.standard(seed=41, events=4_800)
+
+    def kernel() -> int:
+        runtime = serve_events(
+            workload.rules,
+            workload,
+            shards=1,
+            context=Context.CHRONICLE,
+            timer_ratio=workload.timer_ratio,
+            horizon=workload.horizon(),
+        )
+        return runtime.events_ingested
+
+    return kernel, len(workload)
+
+
 def _codec_setup(codec_name: str):
     """Shared builder for the wire-codec throughput scenarios.
 
@@ -568,6 +597,13 @@ BENCHMARKS: dict[str, Bench] = {
             setup=_serving_setup(4),
             rounds=3,
             quick_rounds=2,
+        ),
+        Bench(
+            name="bench_serve_chronicle",
+            title="serving runtime, standard rules under CHRONICLE, 1 shard",
+            setup=_setup_serve_chronicle,
+            rounds=5,
+            quick_rounds=3,
         ),
         Bench(
             name="bench_serve_codec_jsonl",

@@ -66,7 +66,8 @@ class Selection:
     discarded: tuple[EventOccurrence, ...]
 
 
-def _recency_key(occurrence: EventOccurrence) -> tuple[int, int]:
+def recency_key(occurrence: EventOccurrence) -> tuple[int, int]:
+    """The (latest global granule, uid) linearization of initiators."""
     return (occurrence.timestamp.global_span()[1], occurrence.uid)
 
 
@@ -97,11 +98,11 @@ def select_initiators(
             discarded=(),
         )
     if context is Context.RECENT:
-        most_recent = max(eligible, key=_recency_key)
+        most_recent = max(eligible, key=recency_key)
         stale = tuple(o for o in eligible if o is not most_recent)
         return Selection(groups=((most_recent,),), consumed=(), discarded=stale)
     if context is Context.CHRONICLE:
-        oldest = min(eligible, key=_recency_key)
+        oldest = min(eligible, key=recency_key)
         return Selection(groups=((oldest,),), consumed=(oldest,), discarded=())
     if context is Context.CONTINUOUS:
         return Selection(

@@ -11,8 +11,12 @@ code, not state; re-register them, then call :func:`restore`).
 
 Occurrence identity: uids are process-local, so restored occurrences get
 fresh uids while preserving structure (type, timestamp, parameters,
-provenance).  Everything else — buffer order, window progress, timer
-deadlines — round-trips exactly; the tests verify detection continuity
+provenance).  Fresh uids follow the saved buffer order, and a
+``CHRONICLE`` initiator buffer is stable-sorted by recency key on load
+(checkpoints from before buffers were key-ordered hold arrival order),
+so the oldest-first pairing is the one the saved buffer implies.
+Everything else — buffer order, window progress, timer deadlines —
+round-trips exactly; the tests verify detection continuity
 (feed half a stream, checkpoint, restore into a new detector, feed the
 rest: the detections match an uninterrupted run).
 """
@@ -151,15 +155,15 @@ def _dump_node(node: Node) -> dict[str, Any] | None:
 
 def _load_node(node: Node, state: dict[str, Any]) -> None:
     if isinstance(node, SequenceNode) and state["kind"] == "sequence":
-        node._firsts = [occurrence_from_dict(o) for o in state["firsts"]]
+        node._firsts.load(occurrence_from_dict(o) for o in state["firsts"])
         node._seconds = [occurrence_from_dict(o) for o in state["seconds"]]
         return
     if isinstance(node, AndNode) and state["kind"] == "and":
-        node._buffers["left"] = [occurrence_from_dict(o) for o in state["left"]]
-        node._buffers["right"] = [occurrence_from_dict(o) for o in state["right"]]
+        node._buffers["left"].load(occurrence_from_dict(o) for o in state["left"])
+        node._buffers["right"].load(occurrence_from_dict(o) for o in state["right"])
         return
     if isinstance(node, NotNode) and state["kind"] == "not":
-        node._openers = [occurrence_from_dict(o) for o in state["openers"]]
+        node._openers.load(occurrence_from_dict(o) for o in state["openers"])
         node._negated = [occurrence_from_dict(o) for o in state["negated"]]
         node._closers = [occurrence_from_dict(o) for o in state["closers"]]
         return
@@ -168,7 +172,7 @@ def _load_node(node: Node, state: dict[str, Any]) -> None:
         node._closers = [occurrence_from_dict(o) for o in state["closers"]]
         return
     if isinstance(node, AperiodicStarNode) and state["kind"] == "aperiodic_star":
-        node._openers = [occurrence_from_dict(o) for o in state["openers"]]
+        node._openers.load(occurrence_from_dict(o) for o in state["openers"])
         node._bodies = [occurrence_from_dict(o) for o in state["bodies"]]
         return
     if isinstance(node, TimesNode) and state["kind"] == "times":

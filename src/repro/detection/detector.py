@@ -342,12 +342,4 @@ class Detector:
 
     def buffered_occurrences(self) -> int:
         """Total occurrences currently buffered across operator nodes."""
-        total = 0
-        for node in self.graph.nodes():
-            for attribute in ("_firsts", "_seconds", "_openers", "_bodies",
-                              "_negated", "_closers"):
-                total += len(getattr(node, attribute, ()))
-            buffers = getattr(node, "_buffers", None)
-            if buffers is not None:
-                total += sum(len(b) for b in buffers.values())
-        return total
+        return sum(node.buffered() for node in self.graph.nodes())

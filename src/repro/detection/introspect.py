@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from repro.detection.detector import Detector
 from repro.detection.graph import EventGraph
-from repro.detection.nodes import Node, PrimitiveNode
+from repro.detection.nodes import PrimitiveNode
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,26 +66,11 @@ class GraphReport:
         return "\n".join(lines)
 
 
-def node_buffered(node: Node) -> int:
-    """Occurrences currently buffered in one node."""
-    total = 0
-    for attribute in ("_firsts", "_seconds", "_openers", "_bodies",
-                      "_negated", "_closers", "_pending"):
-        total += len(getattr(node, attribute, ()))
-    buffers = getattr(node, "_buffers", None)
-    if buffers is not None:
-        total += sum(len(b) for b in buffers.values())
-    windows = getattr(node, "_windows", None)
-    if windows is not None:
-        total += sum(1 + len(w.ticks) for w in windows if not w.closed)
-    return total
-
-
 def inspect_graph(graph: EventGraph, pending_timers: int = 0) -> GraphReport:
     """Build a report from a graph (engine-agnostic)."""
     graph_report = GraphReport(pending_timers=pending_timers)
     for node in graph.nodes():
-        buffered = node_buffered(node)
+        buffered = node.buffered()
         graph_report.nodes.append(
             NodeReport(
                 name=node.name,

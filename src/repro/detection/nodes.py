@@ -15,14 +15,17 @@ the node output equals the denotational oracle
 (:func:`repro.events.semantics.evaluate`).  The consuming contexts follow
 Sentinel's operational behaviour (initiator buffers, terminator-driven
 detection) and are therefore sensitive to arrival order — the CTX
-benchmark quantifies the difference.
+benchmark quantifies the difference.  Their initiators live in an
+:class:`InitiatorBuffer`, which under ``CHRONICLE`` is kept in recency
+order so a terminator's pick does not rescan the backlog.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Protocol, Sequence
+from bisect import insort
+from typing import Any, Callable, Iterable, Iterator, Protocol, Sequence
 
-from repro.contexts.policies import Context, select_initiators
+from repro.contexts.policies import Context, recency_key, select_initiators
 from repro.errors import DetectionError
 from repro.events.occurrences import EventOccurrence
 from repro.events.semantics import merge_parameters
@@ -96,6 +99,14 @@ class Node:
         matter in unrestricted mode either (the caller chooses the
         horizon).  Returns the number of occurrences dropped; stateless
         nodes return 0.
+        """
+        return 0
+
+    def buffered(self) -> int:
+        """Occurrences this node currently holds; stateless nodes hold 0.
+
+        The one definition of detector state: open periodic windows
+        count their opener plus the ticks fired so far.
         """
         return 0
 
@@ -190,6 +201,98 @@ class FilterNode(Node):
         return [self._emit((occurrence,))]
 
 
+class InitiatorBuffer:
+    """The initiator buffer of a terminator-driven node (Snoop §5.3).
+
+    A terminator takes its initiators through :meth:`take`, which applies
+    the node's context.  Under ``CHRONICLE`` the buffer stays sorted by
+    :func:`~repro.contexts.policies.recency_key` (in-order arrivals
+    append, late ones are inserted), so the oldest eligible initiator is
+    the first eligible one from the head: ``min(eligible,
+    key=recency_key)`` with an early exit instead of a backlog rescan.
+    Every other context keeps arrival order and selects through
+    :func:`~repro.contexts.policies.select_initiators`.
+    """
+
+    __slots__ = ("context", "_items", "_keyed")
+
+    def __init__(self, context: Context) -> None:
+        self.context = context
+        self._keyed = context is Context.CHRONICLE
+        self._items: list[EventOccurrence] = []
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __iter__(self) -> Iterator[EventOccurrence]:
+        return iter(self._items)
+
+    def add(self, occurrence: EventOccurrence) -> None:
+        """Buffer one initiator."""
+        items = self._items
+        if (
+            self._keyed
+            and items
+            and recency_key(occurrence) < recency_key(items[-1])
+        ):
+            insort(items, occurrence, key=recency_key)
+        else:
+            items.append(occurrence)
+
+    def load(self, occurrences: Iterable[EventOccurrence]) -> None:
+        """Replace the contents (checkpoint restore, shard graft).
+
+        Checkpoints written before buffers were key-ordered hold arrival
+        order, so a ``CHRONICLE`` buffer is stable-sorted here.
+        """
+        if self._keyed:
+            self._items = sorted(occurrences, key=recency_key)
+        else:
+            self._items = list(occurrences)
+
+    def take(
+        self,
+        before: CompositeTimestamp | None,
+        blocked: Callable[[EventOccurrence], bool] | None = None,
+    ) -> tuple[tuple[EventOccurrence, ...], ...]:
+        """Select one terminator's initiators; return the detection groups.
+
+        An initiator is eligible when it happens before ``before`` and
+        ``blocked`` (if given) is false; ``before=None`` makes every
+        buffered initiator eligible.  Initiators the context consumes or
+        discards leave the buffer.
+        """
+        items = self._items
+        if self._keyed:
+            if before is None:
+                return ((items.pop(0),),) if items else ()
+            for index, initiator in enumerate(items):
+                if composite_happens_before(initiator.timestamp, before) and (
+                    blocked is None or not blocked(initiator)
+                ):
+                    del items[index]
+                    return ((initiator,),)
+            return ()
+        if before is None:
+            eligible = items
+        else:
+            eligible = [
+                o
+                for o in items
+                if composite_happens_before(o.timestamp, before)
+                and (blocked is None or not blocked(o))
+            ]
+        # select_initiators reads ``eligible`` without mutating it, and
+        # _prune runs only after the groups are materialised as tuples.
+        selection = select_initiators(self.context, eligible)
+        _prune(items, selection.consumed + selection.discarded)
+        return selection.groups
+
+    def prune_before(self, global_time: int) -> int:
+        """Drop initiators whose latest granule is below ``global_time``."""
+        return _prune_list(self._items, global_time)
+
+
 class AndNode(Node):
     """Conjunction: both sides, any order; ``ts = Max(t1, t2)``.
 
@@ -202,9 +305,9 @@ class AndNode(Node):
 
     def __init__(self, name: str, context: Context = Context.UNRESTRICTED) -> None:
         super().__init__(name, context)
-        self._buffers: dict[str, list[EventOccurrence]] = {
-            ROLE_LEFT: [],
-            ROLE_RIGHT: [],
+        self._buffers: dict[str, InitiatorBuffer] = {
+            ROLE_LEFT: InitiatorBuffer(context),
+            ROLE_RIGHT: InitiatorBuffer(context),
         }
 
     def roles(self) -> tuple[str, ...]:
@@ -214,21 +317,18 @@ class AndNode(Node):
         if role not in self._buffers:
             raise DetectionError(f"AndNode {self.name!r} got unknown role {role!r}")
         opposite = ROLE_RIGHT if role == ROLE_LEFT else ROLE_LEFT
-        # select_initiators reads the buffer without mutating it, and
-        # _prune runs only after the groups are materialised as tuples.
-        selection = select_initiators(self.context, self._buffers[opposite])
         detections = []
-        for group in selection.groups:
+        for group in self._buffers[opposite].take(None):
             ordered = (*group, occurrence) if opposite == ROLE_LEFT else (occurrence, *group)
             detections.append(self._emit(ordered))
-        _prune(self._buffers[opposite], selection.consumed + selection.discarded)
-        self._buffers[role].append(occurrence)
+        self._buffers[role].add(occurrence)
         return detections
 
     def prune_before(self, global_time: int) -> int:
-        return _prune_list(self._buffers[ROLE_LEFT], global_time) + _prune_list(
-            self._buffers[ROLE_RIGHT], global_time
-        )
+        return sum(b.prune_before(global_time) for b in self._buffers.values())
+
+    def buffered(self) -> int:
+        return sum(len(b) for b in self._buffers.values())
 
 
 class SequenceNode(Node):
@@ -243,7 +343,7 @@ class SequenceNode(Node):
 
     def __init__(self, name: str, context: Context = Context.UNRESTRICTED) -> None:
         super().__init__(name, context)
-        self._firsts: list[EventOccurrence] = []
+        self._firsts = InitiatorBuffer(context)
         self._seconds: list[EventOccurrence] = []
 
     def roles(self) -> tuple[str, ...]:
@@ -251,7 +351,7 @@ class SequenceNode(Node):
 
     def receive(self, occurrence: EventOccurrence, role: str) -> list[EventOccurrence]:
         if role == ROLE_FIRST:
-            self._firsts.append(occurrence)
+            self._firsts.add(occurrence)
             if self.context is Context.UNRESTRICTED:
                 return [
                     self._emit((occurrence, second))
@@ -260,25 +360,22 @@ class SequenceNode(Node):
                 ]
             return []
         if role == ROLE_SECOND:
-            eligible = [
-                first
-                for first in self._firsts
-                if composite_happens_before(first.timestamp, occurrence.timestamp)
-            ]
-            selection = select_initiators(self.context, eligible)
             detections = [
-                self._emit((*group, occurrence)) for group in selection.groups
+                self._emit((*group, occurrence))
+                for group in self._firsts.take(occurrence.timestamp)
             ]
-            _prune(self._firsts, selection.consumed + selection.discarded)
             if self.context is Context.UNRESTRICTED:
                 self._seconds.append(occurrence)
             return detections
         raise DetectionError(f"SequenceNode {self.name!r} got unknown role {role!r}")
 
     def prune_before(self, global_time: int) -> int:
-        return _prune_list(self._firsts, global_time) + _prune_list(
+        return self._firsts.prune_before(global_time) + _prune_list(
             self._seconds, global_time
         )
+
+    def buffered(self) -> int:
+        return len(self._firsts) + len(self._seconds)
 
 
 class NotNode(Node):
@@ -293,7 +390,7 @@ class NotNode(Node):
 
     def __init__(self, name: str, context: Context = Context.UNRESTRICTED) -> None:
         super().__init__(name, context)
-        self._openers: list[EventOccurrence] = []
+        self._openers = InitiatorBuffer(context)
         self._negated: list[EventOccurrence] = []
         self._closers: list[EventOccurrence] = []
 
@@ -302,7 +399,7 @@ class NotNode(Node):
 
     def receive(self, occurrence: EventOccurrence, role: str) -> list[EventOccurrence]:
         if role == ROLE_OPENER:
-            self._openers.append(occurrence)
+            self._openers.add(occurrence)
             if self.context is Context.UNRESTRICTED:
                 return self._pair_late_opener(occurrence)
             return []
@@ -310,17 +407,11 @@ class NotNode(Node):
             self._negated.append(occurrence)
             return []
         if role == ROLE_CLOSER:
-            eligible = [
-                opener
-                for opener in self._openers
-                if composite_happens_before(opener.timestamp, occurrence.timestamp)
-                and not self._blocked(opener, occurrence)
-            ]
-            selection = select_initiators(self.context, eligible)
-            detections = [
-                self._emit((*group, occurrence)) for group in selection.groups
-            ]
-            _prune(self._openers, selection.consumed + selection.discarded)
+            groups = self._openers.take(
+                occurrence.timestamp,
+                lambda opener: self._blocked(opener, occurrence),
+            )
+            detections = [self._emit((*group, occurrence)) for group in groups]
             if self.context is Context.UNRESTRICTED:
                 self._closers.append(occurrence)
             return detections
@@ -328,10 +419,13 @@ class NotNode(Node):
 
     def prune_before(self, global_time: int) -> int:
         return (
-            _prune_list(self._openers, global_time)
+            self._openers.prune_before(global_time)
             + _prune_list(self._negated, global_time)
             + _prune_list(self._closers, global_time)
         )
+
+    def buffered(self) -> int:
+        return len(self._openers) + len(self._negated) + len(self._closers)
 
     def _pair_late_opener(self, opener: EventOccurrence) -> list[EventOccurrence]:
         """Out-of-order support: an opener arriving after its closer."""
@@ -399,6 +493,9 @@ class AperiodicNode(Node):
             self._closers, global_time
         )
 
+    def buffered(self) -> int:
+        return len(self._openers) + len(self._closers)
+
     def _window_closed(
         self, opener: EventOccurrence, body: EventOccurrence
     ) -> bool:
@@ -420,7 +517,7 @@ class AperiodicStarNode(Node):
 
     def __init__(self, name: str, context: Context = Context.UNRESTRICTED) -> None:
         super().__init__(name, context)
-        self._openers: list[EventOccurrence] = []
+        self._openers = InitiatorBuffer(context)
         self._bodies: list[EventOccurrence] = []
 
     def roles(self) -> tuple[str, ...]:
@@ -428,20 +525,14 @@ class AperiodicStarNode(Node):
 
     def receive(self, occurrence: EventOccurrence, role: str) -> list[EventOccurrence]:
         if role == ROLE_OPENER:
-            self._openers.append(occurrence)
+            self._openers.add(occurrence)
             return []
         if role == ROLE_BODY:
             self._bodies.append(occurrence)
             return []
         if role == ROLE_CLOSER:
-            eligible = [
-                opener
-                for opener in self._openers
-                if composite_happens_before(opener.timestamp, occurrence.timestamp)
-            ]
-            selection = select_initiators(self.context, eligible)
             detections = []
-            for group in selection.groups:
+            for group in self._openers.take(occurrence.timestamp):
                 for opener in group:
                     window = [
                         body
@@ -461,17 +552,18 @@ class AperiodicStarNode(Node):
                             },
                         )
                     )
-            consumed = selection.consumed + selection.discarded
-            _prune(self._openers, consumed)
             return detections
         raise DetectionError(
             f"AperiodicStarNode {self.name!r} got unknown role {role!r}"
         )
 
     def prune_before(self, global_time: int) -> int:
-        return _prune_list(self._openers, global_time) + _prune_list(
+        return self._openers.prune_before(global_time) + _prune_list(
             self._bodies, global_time
         )
+
+    def buffered(self) -> int:
+        return len(self._openers) + len(self._bodies)
 
 
 class TimesNode(Node):
@@ -526,6 +618,9 @@ class TimesNode(Node):
             )
         return dropped
 
+    def buffered(self) -> int:
+        return len(self._pending)
+
 
 class _Window:
     """An open periodic window: opener plus the ticks fired so far."""
@@ -573,6 +668,9 @@ class PeriodicNode(Node):
 
     def roles(self) -> tuple[str, ...]:
         return (ROLE_OPENER, ROLE_CLOSER)
+
+    def buffered(self) -> int:
+        return sum(1 + len(w.ticks) for w in self._windows if not w.closed)
 
     def receive(self, occurrence: EventOccurrence, role: str) -> list[EventOccurrence]:
         if role == ROLE_OPENER:

@@ -96,7 +96,7 @@ class CompositeTimestamp:
     True
     """
 
-    __slots__ = ("_stamps", "_hash", "_summary")
+    __slots__ = ("_stamps", "_hash", "_summary", "_span")
 
     def __init__(self, stamps: Iterable[PrimitiveTimestamp]) -> None:
         frozen = frozenset(stamps)
@@ -116,6 +116,7 @@ class CompositeTimestamp:
         self._stamps = frozen
         self._hash = hash(frozen)
         self._summary: StampSummary | None = None
+        self._span: tuple[int, int] | None = None
 
     @classmethod
     def _trusted(
@@ -130,6 +131,7 @@ class CompositeTimestamp:
         self._stamps = stamps
         self._hash = hash(stamps)
         self._summary = None
+        self._span = None
         return self
 
     @property
@@ -173,9 +175,16 @@ class CompositeTimestamp:
         return frozenset(t.site for t in self._stamps)
 
     def global_span(self) -> tuple[int, int]:
-        """Minimum and maximum global time among the member triples."""
-        globals_ = [t.global_time for t in self._stamps]
-        return (min(globals_), max(globals_))
+        """Minimum and maximum global time among the member triples.
+
+        Cached on first use (the triples are immutable): the consuming
+        contexts key every buffered initiator by its latest granule.
+        """
+        span = self._span
+        if span is None:
+            globals_ = [t.global_time for t in self._stamps]
+            span = self._span = (min(globals_), max(globals_))
+        return span
 
     def __iter__(self) -> Iterator[PrimitiveTimestamp]:
         return iter(self._stamps)

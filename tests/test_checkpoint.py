@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.contexts.policies import Context
+from repro.conformance.literal import ref_composite_happens_before
+from repro.contexts.policies import Context, recency_key, select_initiators
 from repro.detection.checkpoint import (
     load_checkpoint,
     occurrence_from_dict,
@@ -14,6 +15,7 @@ from repro.detection.checkpoint import (
 from repro.detection.detector import Detector
 from repro.errors import DetectionError
 from repro.events.occurrences import EventOccurrence
+from repro.time.composite import CompositeTimestamp
 from tests.conftest import cts, ts
 
 
@@ -149,6 +151,88 @@ class TestDetectorContinuity:
         assert detection.occurrence.parameters["k"] == "old"
         (detection,) = second.feed("b", ts("s2", 10, 100))
         assert detection.occurrence.parameters["k"] == "new"
+
+
+# Saved in arrival order, not recency order: the layout of a checkpoint
+# written before CHRONICLE buffers were kept sorted.  Two initiators
+# share granule 2, so the tie-break (saved order) matters too.
+OUT_OF_ORDER_FIRSTS = [
+    ("a", ts("s1", 6, 60), {"k": 0}),
+    ("a", ts("s1", 2, 21), {"k": 1}),
+    ("a", ts("s3", 4, 40), {"k": 2}),
+    ("a", ts("s1", 2, 25), {"k": 3}),
+]
+TERMINATORS = [ts("s2", g, g * 10 + i) for g in (5, 9) for i in range(3)]
+
+
+def restored_from_hand_built(expression):
+    """A CHRONICLE detector restored with ``OUT_OF_ORDER_FIRSTS`` loaded
+    into its initiator buffer (a sequence's firsts, a conjunction's left)."""
+    def build():
+        detector = Detector()
+        detector.register(expression, name="r", context=Context.CHRONICLE)
+        return detector
+
+    state = snapshot(build())
+    (node_state,) = state["nodes"].values()
+    node_state["firsts" if node_state["kind"] == "sequence" else "left"] = [
+        occurrence_to_dict(EventOccurrence.primitive(t, stamp, params))
+        for t, stamp, params in OUT_OF_ORDER_FIRSTS
+    ]
+    detector = build()
+    restore(detector, state)
+    return detector
+
+
+def restored_pairings(detector, terminators):
+    return [
+        [d.occurrence.constituents[0].parameters["k"] for d in detector.feed("b", stamp)]
+        for stamp in terminators
+    ]
+
+
+def arrival_order_pairings(terminators, eligible_to):
+    """Pairings of an arrival-ordered restore picked by ``select_initiators``."""
+    buffer = [
+        occurrence_from_dict(
+            occurrence_to_dict(EventOccurrence.primitive(t, stamp, params))
+        )
+        for t, stamp, params in OUT_OF_ORDER_FIRSTS
+    ]
+    pairings = []
+    for stamp in terminators:
+        eligible = [o for o in buffer if eligible_to(o, stamp)]
+        selection = select_initiators(Context.CHRONICLE, eligible)
+        pairings.append([o.parameters["k"] for (o,) in selection.groups])
+        for consumed in selection.consumed:
+            buffer.remove(consumed)
+    return pairings
+
+
+class TestChronicleKeyOrderRestore:
+    """Restored CHRONICLE buffers are re-sorted, so saved order cannot skew pairing."""
+
+    def test_out_of_order_sequence_checkpoint_pairs_like_arrival_order_restore(self):
+        detector = restored_from_hand_built("a ; b")
+        (node,) = detector.graph.operator_nodes()
+        keys = [recency_key(o) for o in node._firsts]
+        assert keys == sorted(keys)
+        pairings = restored_pairings(detector, TERMINATORS)
+        assert pairings == arrival_order_pairings(
+            TERMINATORS,
+            lambda o, stamp: ref_composite_happens_before(
+                o.timestamp, CompositeTimestamp.singleton(stamp)
+            ),
+        )
+        assert pairings == [[1], [3], [], [2], [0], []]
+
+    def test_out_of_order_and_checkpoint_pairs_like_arrival_order_restore(self):
+        detector = restored_from_hand_built("a and b")
+        pairings = restored_pairings(detector, TERMINATORS[:4])
+        assert pairings == arrival_order_pairings(
+            TERMINATORS[:4], lambda o, stamp: True
+        )
+        assert pairings == [[1], [3], [2], [0]]
 
 
 class TestFileRoundTrip:

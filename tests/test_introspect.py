@@ -4,7 +4,7 @@ import pytest
 
 from repro.contexts.policies import Context
 from repro.detection.detector import Detector
-from repro.detection.introspect import inspect_detector, node_buffered
+from repro.detection.introspect import inspect_detector
 from tests.conftest import ts
 
 
@@ -64,4 +64,22 @@ class TestNodeBuffered:
         root = detector.register("P*(o, 2, c)", name="ticks")
         detector.feed("o", ts("s1", 1, 10))
         detector.advance_time(6)  # ticks at 3 and 5
-        assert node_buffered(root) == 3  # opener + two ticks
+        assert root.buffered() == 3  # opener + two ticks
+
+    def test_detector_and_introspection_agree_on_temporal_state(self):
+        # The detector's total once skipped TimesNode batches and open
+        # periodic windows; both views now read Node.buffered().
+        detector = Detector()
+        times = detector.register("times(3, a)", name="triple")
+        periodic = detector.register("P(o, 2, c)", name="beat")
+        detector.feed("a", ts("s1", 1, 10))
+        detector.feed("a", ts("s1", 2, 21))
+        detector.feed("o", ts("s2", 1, 11))
+        detector.advance_time(6)  # ticks at 3 and 5
+        assert times.buffered() == 2
+        assert periodic.buffered() == 3  # opener + two ticks
+        assert detector.buffered_occurrences() == 5
+        assert inspect_detector(detector).total_buffered == 5
+        detector.feed("c", ts("s3", 8, 80))  # closes the window
+        assert detector.buffered_occurrences() == 2
+        assert inspect_detector(detector).total_buffered == 2

@@ -12,6 +12,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from repro.contexts.policies import Context
 from repro.errors import ReproError
 from repro.serve import (
     ClusterAdmin,
@@ -205,6 +206,49 @@ class TestLocalElastic:
         assert all(
             len(epochs) == 1 for epochs in cluster.granule_epochs.values()
         )
+
+    def test_chronicle_scale_keeps_oldest_first_pairings(self):
+        # Buys outnumber sells and cancels, so the CHRONICLE initiator
+        # buffers carry a backlog through both grafts; a graft must hand
+        # it over in key order or a later terminator pairs a newer buy.
+        rules = {
+            "rt": "buy ; sell",
+            "pair": "buy and sell",
+            "churn": "(buy and cancel) ; sell",
+        }
+        events = stream(90, types=("buy", "buy", "sell", "buy", "cancel"))
+        horizon = events[-1].granule + 8
+
+        def pairings(detections_of):
+            return {
+                name: sorted(
+                    tuple(leaf.parameters["i"] for leaf in o.primitive_leaves())
+                    for o in detections_of(name)
+                )
+                for name in rules
+            }
+
+        runtime = serve_events(
+            rules,
+            events,
+            config=ServeConfig(shards=1, timer_ratio=TIMER_RATIO),
+            context=Context.CHRONICLE,
+            horizon=horizon,
+        )
+        cluster = LocalFailoverCluster(
+            2, timer_ratio=TIMER_RATIO, checkpoint_every=8
+        )
+        for name, expression in sorted(rules.items()):
+            cluster.register(expression, name, Context.CHRONICLE)
+        for count, event in enumerate(events):
+            if count in (32, 60):
+                cluster.scale({32: 4, 60: 3}[count])
+            cluster.ingest(event)
+        cluster.advance(horizon)
+        expected = pairings(runtime.detections_of)
+        assert all(expected.values())
+        assert pairings(cluster.detections_of) == expected
+        assert cluster.rebalances == 2
 
 
 @settings(deadline=None, max_examples=20)
